@@ -21,11 +21,10 @@ fn main() {
         BenchmarkId::Mix,
     ] {
         let mut row = vec![id.abbrev().to_string()];
-        for (name, kind) in [
-            ("grid", BroadphaseKind::Grid { cell: 1.2 }),
-            ("sap", BroadphaseKind::SweepAndPrune),
+        for kind in [
+            BroadphaseKind::Grid { cell: 1.2 },
+            BroadphaseKind::SweepAndPrune,
         ] {
-            let _ = name;
             let params = SceneParams {
                 scale: ctx.scale,
                 ..Default::default()

@@ -5,9 +5,11 @@
 //! parallelize — this is one of the two *serial* phases. Two interchangeable
 //! algorithms are provided:
 //!
-//! * [`SweepAndPrune`] — sort-and-sweep along the X axis (the default, and
-//!   the algorithm ODE's `dxSAPSpace` uses), and
-//! * [`UniformGrid`] — a uniform spatial hash, used by the ablation study.
+//! * [`UniformGrid`] — a uniform spatial hash over sorted cells (the
+//!   default, and the paper-fidelity choice: the paper's engine keeps
+//!   hash-table spatial structures), and
+//! * [`SweepAndPrune`] — sort-and-sweep along the X axis (the algorithm
+//!   ODE's `dxSAPSpace` uses), kept as the ablation.
 
 use parallax_math::Aabb;
 
@@ -33,7 +35,10 @@ pub trait Broadphase {
     /// reusing `out`'s capacity across calls.
     ///
     /// `aabbs` carries `(geom, world aabb)` for every enabled geom. The
-    /// emitted pairs are unordered and deduplicated, with `a < b`.
+    /// emitted pairs are deduplicated, with `a < b`. [`UniformGrid`] emits
+    /// them sorted, and the pipeline's determinism relies on that order
+    /// (solver row order and island numbering follow it). The other
+    /// implementations emit them in an order that depends only on `aabbs`.
     fn pairs_into(
         &mut self,
         aabbs: &[(GeomId, Aabb)],
@@ -167,18 +172,20 @@ impl Broadphase for BruteForce {
 
 /// Uniform-grid spatial hash broad-phase.
 ///
-/// Geoms are binned into cells of a fixed size; pairs are generated within
-/// each cell and deduplicated. Useful as an ablation against
-/// [`SweepAndPrune`].
+/// Geoms are binned into cells of a fixed size: one `(cell key, geom)`
+/// entry per covered cell, sorted, so each run of equal keys is one cell.
+/// A pair is tested only in its *owner cell*, the per-axis max of the two
+/// lower cell corners, which both geoms cover whenever they share any cell
+/// — so each cell-sharing pair is tested exactly once, with no dedup set.
 #[derive(Debug)]
 pub struct UniformGrid {
     cell: f32,
-    // Scratch reused across steps: cell table, oversized-AABB bin and the
-    // pair-dedup set keep their capacity between calls.
-    cells: std::collections::HashMap<(i32, i32, i32), Vec<u32>>,
+    // Scratch kept across steps: sorted `(cell key, geom index)` entries,
+    // each geom's lower cell corner, the oversized-AABB bin and its mask.
+    entries: Vec<([i32; 3], u32)>,
+    lower: Vec<[i32; 3]>,
     global: Vec<u32>,
     global_mask: Vec<bool>,
-    seen: std::collections::HashSet<(GeomId, GeomId)>,
 }
 
 impl UniformGrid {
@@ -191,10 +198,10 @@ impl UniformGrid {
         assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
         UniformGrid {
             cell,
-            cells: std::collections::HashMap::new(),
+            entries: Vec::new(),
+            lower: Vec::new(),
             global: Vec::new(),
             global_mask: Vec::new(),
-            seen: std::collections::HashSet::new(),
         }
     }
 
@@ -227,76 +234,67 @@ impl Broadphase for UniformGrid {
         // spanning more than `MAX_CELLS_PER_AXIS` cells into a global bin
         // tested against everyone.
         const MAX_CELLS_PER_AXIS: i32 = 64;
-        // Work on taken scratch so the closure below can borrow freely;
-        // returned to `self` at the end for reuse next step.
-        let mut cells = std::mem::take(&mut self.cells);
-        let mut global = std::mem::take(&mut self.global);
-        let mut global_mask = std::mem::take(&mut self.global_mask);
-        let mut seen = std::mem::take(&mut self.seen);
-        cells.clear();
-        global.clear();
-        global_mask.clear();
-        global_mask.resize(aabbs.len(), false);
-        seen.clear();
+        self.entries.clear();
+        self.lower.clear();
+        self.global.clear();
+        self.global_mask.clear();
+        self.global_mask.resize(aabbs.len(), false);
         out.clear();
         for (i, (_, bb)) in aabbs.iter().enumerate() {
             let (lo, hi) = self.cell_range(bb);
+            self.lower.push(lo);
             if (0..3).any(|k| hi[k] - lo[k] > MAX_CELLS_PER_AXIS) {
-                global.push(i as u32);
-                global_mask[i] = true;
+                self.global.push(i as u32);
+                self.global_mask[i] = true;
                 continue;
             }
             for x in lo[0]..=hi[0] {
                 for y in lo[1]..=hi[1] {
                     for z in lo[2]..=hi[2] {
-                        cells.entry((x, y, z)).or_default().push(i as u32);
-                        stats.sort_ops += 1;
+                        self.entries.push(([x, y, z], i as u32));
                     }
                 }
             }
         }
-        let mut emit = |ia: u32, ib: u32, stats: &mut BroadphaseStats| {
+        stats.sort_ops = self.entries.len();
+        self.entries.sort_unstable();
+        let mut test = |ia: u32, ib: u32| {
             let (ga, ba) = &aabbs[ia as usize];
             let (gb, bb) = &aabbs[ib as usize];
-            // Deduplicate before testing: a pair sharing several cells is
-            // AABB-tested only once.
-            let key = if ga < gb { (*ga, *gb) } else { (*gb, *ga) };
-            if !seen.insert(key) {
-                return;
-            }
             stats.overlap_tests += 1;
             if ba.overlaps(bb) {
-                out.push(key);
+                out.push(if ga < gb { (*ga, *gb) } else { (*gb, *ga) });
             }
         };
-        for members in cells.values() {
-            for (i, &a) in members.iter().enumerate() {
-                for &b in &members[i + 1..] {
-                    emit(a, b, &mut stats);
+        for run in self.entries.chunk_by(|a, b| a.0 == b.0) {
+            let key = run[0].0;
+            for (k, &(_, a)) in run.iter().enumerate() {
+                let la = self.lower[a as usize];
+                for &(_, b) in &run[k + 1..] {
+                    let lb = self.lower[b as usize];
+                    // Test the pair only in its owner cell.
+                    if (0..3).all(|d| la[d].max(lb[d]) == key[d]) {
+                        test(a, b);
+                    }
                 }
             }
         }
         // Membership mask instead of a `global.contains` scan: the inner
         // loop stays O(n) per global geom rather than O(n·g).
-        for (i, &a) in global.iter().enumerate() {
-            for &b in &global[i + 1..] {
-                emit(a, b, &mut stats);
+        for (i, &a) in self.global.iter().enumerate() {
+            for &b in &self.global[i + 1..] {
+                test(a, b);
             }
             for j in 0..aabbs.len() as u32 {
-                if !global_mask[j as usize] {
-                    emit(a, j, &mut stats);
+                if !self.global_mask[j as usize] {
+                    test(a, j);
                 }
             }
         }
-        // HashMap iteration order is randomized per process; sort so the
-        // pair order (and everything downstream: solver row order,
-        // island numbering, dynamics) is deterministic.
+        // Sort so the pair order (and everything downstream: solver row
+        // order, island numbering, dynamics) depends only on the pair set.
         out.sort_unstable();
         stats.pairs = out.len();
-        self.cells = cells;
-        self.global = global;
-        self.global_mask = global_mask;
-        self.seen = seen;
         stats
     }
 }
@@ -454,6 +452,58 @@ mod tests {
         assert_eq!(stats.overlap_tests, expected_global_tests);
         // Every global overlaps everything.
         assert_eq!(pairs.len(), expected_global_tests);
+    }
+
+    #[test]
+    fn grid_tests_a_multi_cell_pair_once_in_its_owner_cell() {
+        // Two boxes sharing a 3×3×3 block of unit cells, on both sides of
+        // the origin (floor() makes the negative octant the tricky one).
+        for sign in [1.0f32, -1.0] {
+            let aabbs = [(0.5, 3.5), (1.2, 3.8)]
+                .iter()
+                .enumerate()
+                .map(|(i, &(lo, hi))| {
+                    let (a, b) = (Vec3::splat(sign * lo), Vec3::splat(sign * hi));
+                    (GeomId(i as u32), Aabb::new(a.min(b), a.max(b)))
+                })
+                .collect::<Vec<_>>();
+            let (pairs, stats) = UniformGrid::new(1.0).pairs(&aabbs);
+            assert_eq!(pairs, vec![(GeomId(0), GeomId(1))], "sign {sign}");
+            assert_eq!(stats.overlap_tests, 1, "sign {sign}");
+            // 4³ cells for the first box, 3³ for the second.
+            assert_eq!(stats.sort_ops, 64 + 27, "sign {sign}");
+        }
+    }
+
+    #[test]
+    fn grid_steady_state_does_not_grow_scratch() {
+        let mut aabbs = boxes(
+            &(0..64)
+                .map(|i| Vec3::new((i % 8) as f32 * 0.7, (i / 8) as f32 * 0.7, 0.0))
+                .collect::<Vec<_>>(),
+            0.6,
+        );
+        aabbs.push((
+            GeomId(64),
+            Aabb::from_center_half_extents(Vec3::ZERO, Vec3::new(1e6, 0.1, 1e6)),
+        ));
+        let mut grid = UniformGrid::new(1.0);
+        let mut out = Vec::new();
+        let capacities = |g: &UniformGrid, out: &Vec<(GeomId, GeomId)>| {
+            [
+                g.entries.capacity(),
+                g.lower.capacity(),
+                g.global.capacity(),
+                g.global_mask.capacity(),
+                out.capacity(),
+            ]
+        };
+        let first = grid.pairs_into(&aabbs, &mut out);
+        let before = capacities(&grid, &out);
+        let second = grid.pairs_into(&aabbs, &mut out);
+        assert_eq!(capacities(&grid, &out), before);
+        assert_eq!(first.overlap_tests, second.overlap_tests);
+        assert_eq!(first.pairs, second.pairs);
     }
 
     #[test]

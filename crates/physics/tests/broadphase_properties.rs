@@ -3,7 +3,9 @@
 //! [`BruteForce`] tests every pair and is trivially correct; sweep-and-prune
 //! and the uniform grid must emit exactly the same pair set on arbitrary
 //! AABB clouds — including negative coordinates, exactly touching boxes and
-//! plane-sized AABBs that land in the grid's global bin.
+//! plane-sized AABBs that land in the grid's global bin. The grid is held
+//! to more: its raw output must already be sorted, and its `overlap_tests`
+//! and `sort_ops` must match an independent recount of its cell work.
 
 use parallax_math::{Aabb, Vec3};
 use parallax_physics::broadphase::{Broadphase, BruteForce, SweepAndPrune, UniformGrid};
@@ -45,13 +47,65 @@ fn sorted_pairs(bp: &mut dyn Broadphase, aabbs: &[(GeomId, Aabb)]) -> Vec<(GeomI
     pairs
 }
 
+/// The grid's cell-index range of `bb`, or `None` when it spans more than
+/// the grid's 64-cell cap on some axis and goes to the global bin.
+fn cell_range(bb: &Aabb, cell: f32) -> Option<[(i32, i32); 3]> {
+    let r = |lo: f32, hi: f32| ((lo / cell).floor() as i32, (hi / cell).floor() as i32);
+    let range = [
+        r(bb.min.x, bb.max.x),
+        r(bb.min.y, bb.max.y),
+        r(bb.min.z, bb.max.z),
+    ];
+    range.iter().all(|&(lo, hi)| hi - lo <= 64).then_some(range)
+}
+
+/// Checks the grid's raw output (no sort, no dedup) against the oracle,
+/// and its work counts against an independent recount: one overlap test
+/// per pair of binned geoms sharing a cell, one per pair involving a
+/// global-bin geom, and one sort op per (cell, geom) entry.
+fn assert_grid_exact(cell: f32, aabbs: &[(GeomId, Aabb)], oracle: &[(GeomId, GeomId)]) {
+    let (pairs, stats) = UniformGrid::new(cell).pairs(aabbs);
+    assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "grid (cell {cell}) output is not strictly ascending"
+    );
+    assert_eq!(
+        pairs, oracle,
+        "grid (cell {cell}) diverged from brute force"
+    );
+    let ranges: Vec<_> = aabbs.iter().map(|(_, bb)| cell_range(bb, cell)).collect();
+    let binned: Vec<_> = ranges.iter().flatten().collect();
+    let (n, g) = (ranges.len(), ranges.len() - binned.len());
+    let sharing = binned
+        .iter()
+        .enumerate()
+        .flat_map(|(i, a)| binned[i + 1..].iter().map(move |b| (a, b)))
+        .filter(|(a, b)| (0..3).all(|k| a[k].0.max(b[k].0) <= a[k].1.min(b[k].1)))
+        .count();
+    assert_eq!(
+        stats.overlap_tests,
+        sharing + g * g.saturating_sub(1) / 2 + g * (n - g),
+        "grid (cell {cell}) overlap tests"
+    );
+    let volume = |r: &[(i32, i32); 3]| {
+        r.iter()
+            .map(|&(lo, hi)| (hi - lo + 1) as usize)
+            .product::<usize>()
+    };
+    assert_eq!(
+        stats.sort_ops,
+        binned.iter().map(|r| volume(r)).sum::<usize>(),
+        "grid (cell {cell}) sort ops"
+    );
+    assert_eq!(stats.pairs, oracle.len());
+}
+
 fn assert_all_agree(aabbs: &[(GeomId, Aabb)]) {
     let oracle = sorted_pairs(&mut BruteForce::new(), aabbs);
     let sap = sorted_pairs(&mut SweepAndPrune::new(), aabbs);
     assert_eq!(sap, oracle, "sweep-and-prune diverged from brute force");
     for cell in [0.5, 1.2, 4.0] {
-        let grid = sorted_pairs(&mut UniformGrid::new(cell), aabbs);
-        assert_eq!(grid, oracle, "grid (cell {cell}) diverged from brute force");
+        assert_grid_exact(cell, aabbs, &oracle);
     }
 }
 
@@ -101,8 +155,8 @@ proptest! {
             sap.pairs_into(&aabbs, &mut out);
             out.sort_unstable();
             prop_assert_eq!(&out, &oracle, "SAP frame {}", frame);
+            // The grid's output is already sorted.
             grid.pairs_into(&aabbs, &mut out);
-            out.sort_unstable();
             prop_assert_eq!(&out, &oracle, "grid frame {}", frame);
         }
     }

@@ -160,4 +160,10 @@ wait "$simsrv_pid" 2>/dev/null || true
 cargo run --release --offline -q -p parallax-bench --bin server_bench -- \
     compare --quick --allow-missing-baseline >/dev/null
 
+# Repository benchmark smoke (perfbench/, its own Cargo workspace): every
+# workload at a tiny size, untraced and traced, with its correctness and
+# digest checks — so an engine change that breaks the benchmark's build
+# or its checks fails here rather than when the benchmark is next run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "tier-1 verify: OK"
