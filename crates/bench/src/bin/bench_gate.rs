@@ -10,152 +10,88 @@
 //!
 //! `record` steps every paper scene for a fixed window and writes the
 //! raw per-phase wall-time samples (plus telemetry counter deltas) to a
-//! schema-versioned JSON baseline. `compare` re-runs the same scenes at
-//! the baseline's scale/threads and exits nonzero when any scene×phase
-//! is statistically significantly slower than the baseline beyond the
-//! threshold — "significantly" meaning the entire bootstrap confidence
-//! interval of the relative median change clears it, so one noisy step
-//! on a busy host cannot fail CI.
+//! BENCH envelope (schema v2, see `parallax_bench::envelope`). `compare`
+//! re-runs the same scenes at the baseline's scale/threads and exits
+//! nonzero when any scene×phase is statistically significantly slower
+//! than the baseline beyond the threshold — "significantly" meaning the
+//! entire bootstrap confidence interval of the relative median change
+//! clears it, so one noisy step on a busy host cannot fail CI.
 //!
 //! `--quick` is the CI smoke shape: 10 steps and a +100% threshold, so
 //! it only trips on catastrophic slowdowns but still exercises the full
 //! record → parse → compare → verdict path on every run.
 
-use parallax_bench::harness::{
-    compare_baselines, record, record_paired, Baseline, Fingerprint, GateConfig, PhaseComparison,
+use parallax_bench::envelope::{
+    flag_value, run_compare, write_document, Envelope, GateArgs, STEP_TOTAL,
 };
+use parallax_bench::harness::{record, record_paired, GateConfig};
 use parallax_bench::print_table;
 use parallax_math::SimdMode;
-
-struct Args {
-    mode: Mode,
-    path: String,
-    cfg: GateConfig,
-    threshold: Option<f64>,
-    /// An explicit `--simd` choice. For `compare` this deliberately
-    /// overrides the baseline's recorded mode — the cross-mode
-    /// comparison then *measures* the kernel speedup instead of gating
-    /// a code change.
-    simd: Option<SimdMode>,
-    /// An explicit `--sleep` choice. Like `--simd`, a `compare` whose
-    /// sleep setting differs from the baseline's becomes a cross-config
-    /// interleaved A/B that *measures* the island-sleeping speedup.
-    sleep: Option<bool>,
-    quick: bool,
-    allow_missing: bool,
-}
-
-#[derive(PartialEq)]
-enum Mode {
-    Record,
-    Compare,
-}
 
 const USAGE: &str = "usage: bench_gate record  [--out PATH] [--steps N] [--warmup N] \
                      [--scale F] [--threads N] [--simd MODE] [--sleep on|off] [--quick]\n\
                      \x20      bench_gate compare [--baseline PATH] [--threshold F] \
                      [--steps N] [--warmup N] [--simd MODE] [--sleep on|off] [--quick] \
                      [--allow-missing-baseline]\n\
-                     MODE: scalar | sse2 | avx2 (default: auto-detect; compare \
-                     defaults to the baseline's recorded mode)\n\
-                     --sleep: island sleeping (default: PARALLAX_SLEEP; compare \
-                     defaults to the baseline's recorded setting)";
+                     MODE: scalar | sse2 | avx2 (record defaults to the widest the CPU \
+                     supports; compare defaults to the baseline's recorded mode)\n\
+                     --sleep: island sleeping (record defaults to off; compare defaults \
+                     to the baseline's recorded setting)";
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
-    let mode = match it.next().as_deref() {
-        Some("record") => Mode::Record,
-        Some("compare") => Mode::Compare,
-        other => return Err(format!("expected subcommand record|compare, got {other:?}")),
-    };
-    let mut args = Args {
-        path: "BENCH_scenes.json".to_string(),
-        mode,
-        cfg: GateConfig::default(),
-        threshold: None,
-        simd: None,
-        sleep: None,
-        quick: false,
-        allow_missing: false,
-    };
-    let mut steps = None;
-    let mut warmup = None;
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match flag.as_str() {
-            "--out" | "--baseline" => args.path = value_of(&flag)?,
-            "--steps" => steps = Some(parse_num(&value_of("--steps")?, "--steps")?),
-            "--warmup" => warmup = Some(parse_num(&value_of("--warmup")?, "--warmup")?),
-            "--scale" => {
-                args.cfg.scale = value_of("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--threads" => args.cfg.threads = parse_num(&value_of("--threads")?, "--threads")?,
+fn main() {
+    let mut cfg = GateConfig::default();
+    let (mut steps, mut warmup) = (None, None);
+    // An explicit `--simd`/`--sleep` choice. For `compare` it overrides
+    // the baseline's recorded setting, and the comparison then
+    // *measures* the kernel or sleeping speedup instead of gating a code
+    // change.
+    let (mut simd, mut sleep) = (None, None);
+    let args = GateArgs::parse("BENCH_scenes.json", USAGE, |flag, rest| {
+        match flag {
+            "--steps" => steps = Some(flag_value::<usize>(flag, rest)?),
+            "--warmup" => warmup = Some(flag_value(flag, rest)?),
+            "--scale" => cfg.scale = flag_value(flag, rest)?,
+            "--threads" => cfg.threads = flag_value(flag, rest)?,
             "--simd" => {
-                let name = value_of("--simd")?;
-                let mode = SimdMode::from_name(&name)
-                    .ok_or_else(|| format!("--simd: unknown mode {name:?} (scalar|sse2|avx2)"))?;
-                args.cfg.simd = mode;
-                args.simd = Some(mode);
+                let name: String = flag_value(flag, rest)?;
+                simd = Some(
+                    SimdMode::from_name(&name)
+                        .ok_or(format!("--simd: unknown mode {name:?} (scalar|sse2|avx2)"))?,
+                );
             }
             "--sleep" => {
-                let v = value_of("--sleep")?;
-                let on = match v.as_str() {
+                sleep = Some(match flag_value::<String>(flag, rest)?.as_str() {
                     "on" | "1" | "true" => true,
                     "off" | "0" | "false" => false,
                     other => return Err(format!("--sleep: expected on|off, got {other:?}")),
-                };
-                args.cfg.sleeping = on;
-                args.sleep = Some(on);
+                });
             }
-            "--threshold" => {
-                args.threshold = Some(
-                    value_of("--threshold")?
-                        .parse()
-                        .map_err(|e| format!("--threshold: {e}"))?,
-                );
-            }
-            "--quick" => args.quick = true,
-            "--allow-missing-baseline" => args.allow_missing = true,
-            other => return Err(format!("unknown flag {other:?}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
     if let Some(t) = args.threshold {
-        args.cfg.threshold = t;
+        cfg.threshold = t;
     }
     if args.quick {
-        args.cfg = args.cfg.clone().quick();
+        cfg = cfg.quick();
     }
     if let Some(s) = steps {
-        args.cfg.steps = s.max(2);
+        cfg.steps = s.max(2);
     }
-    if let Some(w) = warmup {
-        args.cfg.warmup = w;
-    }
-    Ok(args)
-}
-
-fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
-    s.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    match args.mode {
-        Mode::Record => run_record(&args),
-        Mode::Compare => run_compare(&args),
+    cfg.warmup = warmup.unwrap_or(cfg.warmup);
+    cfg.simd = simd.unwrap_or(cfg.simd);
+    cfg.sleeping = sleep.unwrap_or(cfg.sleeping);
+    if args.compare {
+        run_compare(&args, cfg.threshold, |base| {
+            measure(base, &cfg, simd, sleep)
+        });
+    } else {
+        run_record(&args, &cfg);
     }
 }
 
-fn run_record(args: &Args) {
-    let cfg = &args.cfg;
+fn run_record(args: &GateArgs, cfg: &GateConfig) {
     println!(
         "recording {} scene(s): {} steps (+{} warmup) @ scale {}, {} thread(s), {} kernels, \
          sleeping {}",
@@ -169,214 +105,108 @@ fn run_record(args: &Args) {
     );
     let baseline = record(cfg);
     let rows: Vec<Vec<String>> = baseline
-        .scenes
+        .groups
         .iter()
-        .map(|sc| {
-            let step_ns: Vec<f64> = (0..cfg.steps)
-                .map(|s| (0..5).map(|p| sc.phase_wall_ns[p][s]).sum())
-                .collect();
-            let med = parallax_telemetry::median(&step_ns).unwrap_or(0.0);
+        .map(|g| {
+            let step_ns = g.series(STEP_TOTAL).unwrap_or(&[]);
+            let med = parallax_telemetry::median(step_ns).unwrap_or(0.0);
             vec![
-                sc.scene.clone(),
-                sc.bodies.to_string(),
+                g.name.clone(),
+                g.value("bodies").to_string(),
                 format!("{:.3}", med / 1e6),
             ]
         })
         .collect();
     print_table("Recorded medians", &["Scene", "Bodies", "Step ms"], &rows);
-    if let Err(e) = std::fs::write(&args.path, baseline.to_json()) {
-        eprintln!("error: cannot write {}: {e}", args.path);
-        std::process::exit(1);
-    }
-    println!("\nwrote baseline to {}", args.path);
+    write_document(&baseline, &args.path);
 }
 
-fn run_compare(args: &Args) {
-    let src = match std::fs::read_to_string(&args.path) {
-        Ok(s) => s,
-        Err(e) if args.allow_missing => {
-            eprintln!(
-                "warning: no baseline at {} ({e}); nothing to gate against, passing. \
-                 Record one with `bench_gate record --out {}`.",
-                args.path, args.path
-            );
-            return;
-        }
-        Err(e) => {
-            eprintln!("error: cannot read baseline {}: {e}", args.path);
-            std::process::exit(2);
-        }
-    };
-    let base = match Baseline::from_json(&src) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {}: {e}", args.path);
-            std::process::exit(2);
-        }
-    };
-    let here = Fingerprint::current();
-    if here != base.fingerprint {
-        eprintln!(
-            "warning: baseline was recorded on {}/{} with {} hw thread(s); this host is \
-             {}/{} with {} — absolute times are not comparable across machines, only \
-             uniform relative changes",
-            base.fingerprint.os,
-            base.fingerprint.arch,
-            base.fingerprint.hw_threads,
-            here.os,
-            here.arch,
-            here.hw_threads
-        );
-    }
-
+/// The measuring half of `compare`: re-runs the baseline's workload and
+/// returns the (baseline, fresh) pair to gate.
+fn measure(
+    base: Envelope<GateConfig>,
+    cfg: &GateConfig,
+    simd: Option<SimdMode>,
+    sleep: Option<bool>,
+) -> (Envelope<GateConfig>, Envelope<GateConfig>) {
+    let b = &base.config;
     // A baseline is only meaningful against the kernels it measured:
     // comparing a scalar baseline against an AVX2 run would gate on the
     // SIMD speedup, not on a code change. The fresh run therefore runs at
     // the baseline's recorded mode unless `--simd` explicitly asks for a
     // cross-mode comparison (which measures the kernel speedup itself);
     // surface whichever situation holds.
-    let cross_mode = matches!(args.simd, Some(m) if m != base.config.simd);
-    let fresh_simd = match args.simd {
-        Some(m) => m,
-        None => {
-            let active = SimdMode::resolve().clamp_to_supported();
-            if base.config.simd != active {
-                eprintln!(
-                    "warning: baseline was recorded with {} kernels but this run would \
-                     use {}; comparing at the baseline's mode ({}). Re-record with \
-                     `bench_gate record` to gate the {} kernels.",
-                    base.config.simd.name(),
-                    active.name(),
-                    base.config.simd.name(),
-                    active.name()
-                );
-            }
-            base.config.simd
-        }
-    };
-
-    // Island sleeping follows the same rule as SIMD: the fresh run
-    // inherits the baseline's setting unless `--sleep` explicitly asks
-    // for a cross-config comparison measuring the sleeping speedup.
-    let cross_sleep = matches!(args.sleep, Some(s) if s != base.config.sleeping);
-    let fresh_sleep = args.sleep.unwrap_or(base.config.sleeping);
+    let cross_mode = matches!(simd, Some(m) if m != b.simd);
+    let active = SimdMode::detect();
+    if simd.is_none() && b.simd != active {
+        eprintln!(
+            "warning: baseline was recorded with {} kernels but this CPU supports {}; \
+             comparing at the baseline's mode. Re-record with `bench_gate record` to gate \
+             the {} kernels.",
+            b.simd.name(),
+            active.name(),
+            active.name()
+        );
+    }
+    // Island sleeping follows the same rule as SIMD.
+    let cross_sleep = matches!(sleep, Some(s) if s != b.sleeping);
 
     // The fresh run must match the baseline's workload exactly; only the
-    // sample count, threshold, and an explicit --simd/--sleep are the
-    // comparer's choice.
-    let cfg = GateConfig {
-        scale: base.config.scale,
-        threads: base.config.threads,
-        warm_starting: base.config.warm_starting,
-        simd: fresh_simd,
-        digests: base.config.digests,
-        sleeping: fresh_sleep,
-        scenes: base.config.scenes.clone(),
-        ..args.cfg.clone()
-    };
-    let threshold = if args.threshold.is_some() || args.quick {
-        args.cfg.threshold
-    } else {
-        base.config.threshold
+    // sample count and an explicit --simd/--sleep are the comparer's
+    // choice.
+    let fresh = GateConfig {
+        scale: b.scale,
+        threads: b.threads,
+        warm_starting: b.warm_starting,
+        simd: simd.unwrap_or(b.simd),
+        digests: b.digests,
+        sleeping: sleep.unwrap_or(b.sleeping),
+        scenes: b.scenes.clone(),
+        ..cfg.clone()
     };
     println!(
-        "comparing against {} ({} scene(s), threshold +{:.0}%): {} steps (+{} warmup) \
-         @ scale {}, {} thread(s), {} kernels, sleeping {}",
-        args.path,
-        base.scenes.len(),
-        threshold * 100.0,
-        cfg.steps,
-        cfg.warmup,
-        cfg.scale,
-        cfg.threads,
-        cfg.simd.clamp_to_supported().name(),
-        if cfg.sleeping { "on" } else { "off" }
+        "measuring {} steps (+{} warmup) @ scale {}, {} thread(s), {} kernels, sleeping {}",
+        fresh.steps,
+        fresh.warmup,
+        fresh.scale,
+        fresh.threads,
+        fresh.simd.clamp_to_supported().name(),
+        if fresh.sleeping { "on" } else { "off" }
     );
+    if !cross_mode && !cross_sleep {
+        // Same-config gating keeps the stored samples: that comparison
+        // against the past is the point of the gate.
+        let fresh = record(&fresh);
+        return (base, fresh);
+    }
     // Cross-config: the stored samples were taken minutes-to-months ago,
-    // and slow host drift between then and now easily exceeds a kernel
-    // or sleeping effect. Re-measure *both* configurations interleaved
+    // and slow host drift between then and now easily exceeds a kernel or
+    // sleeping effect. Re-measure *both* configurations interleaved
     // within each scene so drift cancels; the stored baseline only
-    // contributes the workload configuration. Same-config gating keeps
-    // the stored samples — that comparison against the past is the point
-    // of the gate.
-    let (base, fresh) = if cross_mode || cross_sleep {
-        if cross_mode {
-            eprintln!(
-                "note: cross-mode comparison: re-measuring {} and {} kernels interleaved \
-                 (stored samples are not drift-comparable). Verdicts measure the kernel \
-                 change, not a code change.",
-                base.config.simd.name(),
-                fresh_simd.name()
-            );
-        }
-        if cross_sleep {
-            eprintln!(
-                "note: cross-sleep comparison: re-measuring sleeping {} and {} interleaved \
-                 (stored samples are not drift-comparable). Verdicts measure the sleeping \
-                 change, not a code change.",
-                if base.config.sleeping { "on" } else { "off" },
-                if fresh_sleep { "on" } else { "off" }
-            );
-        }
-        let base_cfg = GateConfig {
-            simd: base.config.simd,
-            sleeping: base.config.sleeping,
-            ..cfg.clone()
-        };
-        record_paired(&base_cfg, &cfg)
-    } else {
-        (base, record(&cfg))
-    };
-    let rows = compare_baselines(&base, &fresh, threshold);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scene.clone(),
-                r.phase.to_string(),
-                format!("{:.3}", r.cmp.base_median / 1e6),
-                format!("{:.3}", r.cmp.cand_median / 1e6),
-                format!("{:+.0}%", r.cmp.rel_change * 100.0),
-                format!("[{:+.0}%, {:+.0}%]", r.cmp.ci.0 * 100.0, r.cmp.ci.1 * 100.0),
-                r.cmp.verdict.label().to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Scene gate",
-        &[
-            "Scene", "Phase", "Base ms", "Now ms", "Change", "95% CI", "Verdict",
-        ],
-        &table,
-    );
-
-    let regressions: Vec<&PhaseComparison> = rows.iter().filter(|r| r.is_regression()).collect();
-    if regressions.is_empty() {
-        println!(
-            "\ngate passed: no scene/phase slower than baseline beyond +{:.0}%",
-            threshold * 100.0
-        );
-        return;
-    }
-    for r in &regressions {
+    // contributes the workload configuration.
+    let on_off = |on: bool| if on { "on" } else { "off" };
+    if cross_mode {
         eprintln!(
-            "REGRESSION: {} / {}: median {:.3} ms -> {:.3} ms ({:+.0}%, 95% CI \
-             [{:+.0}%, {:+.0}%] beyond +{:.0}%)",
-            r.scene,
-            r.phase,
-            r.cmp.base_median / 1e6,
-            r.cmp.cand_median / 1e6,
-            r.cmp.rel_change * 100.0,
-            r.cmp.ci.0 * 100.0,
-            r.cmp.ci.1 * 100.0,
-            threshold * 100.0
+            "note: cross-mode comparison: re-measuring {} and {} kernels interleaved \
+             (stored samples are not drift-comparable). Verdicts measure the kernel \
+             change, not a code change.",
+            b.simd.name(),
+            fresh.simd.name()
         );
     }
-    eprintln!(
-        "\ngate FAILED: {} regression(s) across {} scene/phase pair(s)",
-        regressions.len(),
-        rows.len()
-    );
-    std::process::exit(1);
+    if cross_sleep {
+        eprintln!(
+            "note: cross-sleep comparison: re-measuring sleeping {} and {} interleaved \
+             (stored samples are not drift-comparable). Verdicts measure the sleeping \
+             change, not a code change.",
+            on_off(b.sleeping),
+            on_off(fresh.sleeping)
+        );
+    }
+    let base_cfg = GateConfig {
+        simd: b.simd,
+        sleeping: b.sleeping,
+        ..fresh.clone()
+    };
+    record_paired(&base_cfg, &fresh)
 }

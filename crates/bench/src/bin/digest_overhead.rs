@@ -10,7 +10,8 @@
 //! `--quick` shrinks the sample count for CI smoke runs (the threshold
 //! stays 3% — unlike `bench_gate --quick`, the budget is the point).
 
-use parallax_bench::harness::{compare_baselines, record_paired, GateConfig};
+use parallax_bench::envelope::{compare_series, STEP_TOTAL};
+use parallax_bench::harness::{record_paired, GateConfig};
 use parallax_workloads::BenchmarkId;
 
 /// The digest budget: relative step-total cost on Mix.
@@ -34,11 +35,11 @@ fn main() {
         BUDGET * 100.0
     );
     let (off, on) = record_paired(&mk(false), &mk(true));
-    let rows = compare_baselines(&off, &on, BUDGET);
+    let rows = compare_series(&off.groups, &on.groups, BUDGET);
     for r in &rows {
         println!(
             "  {:16} {:>10.3} ms -> {:>10.3} ms  {:+.1}%  CI [{:+.1}%, {:+.1}%]  {:?}",
-            r.phase,
+            r.metric,
             r.cmp.base_median / 1e6,
             r.cmp.cand_median / 1e6,
             r.cmp.rel_change * 100.0,
@@ -50,7 +51,7 @@ fn main() {
     // Gate on the whole-step total only: digests are computed inside the
     // phase walls, and individual phases with sub-threshold absolute cost
     // are noise — the budget is a per-step budget.
-    let Some(total) = rows.iter().find(|r| r.phase == "step total") else {
+    let Some(total) = rows.iter().find(|r| r.metric == STEP_TOTAL) else {
         eprintln!("error: no step-total comparison row (scene produced no samples?)");
         std::process::exit(2);
     };

@@ -19,26 +19,9 @@
 //! one process, so a run that cannot keep `achieved/ideal ≥ min_sustain`
 //! fails regardless of how it compares to the baseline.
 
-use parallax_bench::harness::Fingerprint;
+use parallax_bench::envelope::{flag_value, run_compare, write_document, Envelope, GateArgs};
 use parallax_bench::print_table;
-use parallax_bench::server_gate::{
-    compare_server_baselines, record, CellComparison, ServerBaseline, ServerGateConfig,
-};
-
-struct Args {
-    mode: Mode,
-    path: String,
-    cfg: ServerGateConfig,
-    threshold: Option<f64>,
-    quick: bool,
-    allow_missing: bool,
-}
-
-#[derive(PartialEq)]
-enum Mode {
-    Record,
-    Compare,
-}
+use parallax_bench::server_gate::{record, steps_per_sec, ServerGateConfig};
 
 const USAGE: &str = "usage: server_bench record  [--out PATH] [--sessions N] [--bodies N] \
                      [--rate HZ] [--measure-ms N] [--clients N] [--quick]\n\
@@ -46,255 +29,103 @@ const USAGE: &str = "usage: server_bench record  [--out PATH] [--sessions N] [--
                      [--quick] [--allow-missing-baseline]\n\
                      --sessions/--bodies replace the sweep with a single cell";
 
-fn parse_args() -> Result<Args, String> {
-    let mut it = std::env::args().skip(1);
-    let mode = match it.next().as_deref() {
-        Some("record") => Mode::Record,
-        Some("compare") => Mode::Compare,
-        other => return Err(format!("expected subcommand record|compare, got {other:?}")),
-    };
-    let mut args = Args {
-        path: "BENCH_server.json".to_string(),
-        mode,
-        cfg: ServerGateConfig::default(),
-        threshold: None,
-        quick: false,
-        allow_missing: false,
-    };
-    let mut sessions = None;
-    let mut bodies = None;
-    while let Some(flag) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
-        match flag.as_str() {
-            "--out" | "--baseline" => args.path = value_of(&flag)?,
-            "--sessions" => sessions = Some(parse_num(&value_of("--sessions")?, "--sessions")?),
-            "--bodies" => bodies = Some(parse_num(&value_of("--bodies")?, "--bodies")?),
-            "--rate" => {
-                args.cfg.step_rate = value_of("--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?;
-            }
-            "--measure-ms" => {
-                args.cfg.measure_ms = parse_num(&value_of("--measure-ms")?, "--measure-ms")? as u64;
-            }
-            "--clients" => args.cfg.clients = parse_num(&value_of("--clients")?, "--clients")?,
-            "--threshold" => {
-                args.threshold = Some(
-                    value_of("--threshold")?
-                        .parse()
-                        .map_err(|e| format!("--threshold: {e}"))?,
-                );
-            }
-            "--quick" => args.quick = true,
-            "--allow-missing-baseline" => args.allow_missing = true,
-            other => return Err(format!("unknown flag {other:?}")),
+fn main() {
+    let mut cfg = ServerGateConfig::default();
+    let (mut sessions, mut bodies) = (None, None);
+    let args = GateArgs::parse("BENCH_server.json", USAGE, |flag, rest| {
+        match flag {
+            "--sessions" => sessions = Some(flag_value(flag, rest)?),
+            "--bodies" => bodies = Some(flag_value(flag, rest)?),
+            "--rate" => cfg.step_rate = flag_value(flag, rest)?,
+            "--measure-ms" => cfg.measure_ms = flag_value(flag, rest)?,
+            "--clients" => cfg.clients = flag_value(flag, rest)?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    });
     if let Some(t) = args.threshold {
-        args.cfg.threshold = t;
+        cfg.threshold = t;
     }
     if args.quick {
-        args.cfg = args.cfg.clone().quick();
+        cfg = cfg.quick();
     }
     if sessions.is_some() || bodies.is_some() {
-        args.cfg.cells = vec![(sessions.unwrap_or(1000), bodies.unwrap_or(100))];
+        cfg.cells = vec![(sessions.unwrap_or(1000), bodies.unwrap_or(100))];
     }
-    Ok(args)
-}
-
-fn parse_num(s: &str, flag: &str) -> Result<usize, String> {
-    s.parse().map_err(|e| format!("{flag}: {e}"))
-}
-
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    match args.mode {
-        Mode::Record => run_record(&args),
-        Mode::Compare => run_compare(&args),
-    }
-}
-
-fn cell_table(baseline: &ServerBaseline) -> Vec<Vec<String>> {
-    baseline
-        .cells
-        .iter()
-        .map(|c| {
-            let ideal = c.sessions as f64 * baseline.config.step_rate;
-            vec![
-                c.sessions.to_string(),
-                c.bodies.to_string(),
-                format!(
-                    "{:.0}",
-                    parallax_telemetry::median(&c.steps_per_sec).unwrap_or(0.0)
-                ),
-                format!("{ideal:.0}"),
-                format!("{:.2}", c.sustain),
-                format!("{:.2}", c.latency_p99_ns / 1e6),
-                c.requests.to_string(),
-            ]
-        })
-        .collect()
-}
-
-const CELL_HEADER: [&str; 7] = [
-    "Sessions", "Bodies", "Steps/s", "Ideal", "Sustain", "p99 ms", "Requests",
-];
-
-/// Applies the sustain floor; exits nonzero when any cell misses it.
-fn enforce_sustain(baseline: &ServerBaseline) {
-    let floor = baseline.config.min_sustain;
-    let failing: Vec<String> = baseline
-        .cells
-        .iter()
-        .filter(|c| c.sustain < floor)
-        .map(|c| {
-            format!(
-                "{}x{} sustained only {:.0}% of {} Hz",
-                c.sessions,
-                c.bodies,
-                c.sustain * 100.0,
-                baseline.config.step_rate
-            )
-        })
-        .collect();
-    if !failing.is_empty() {
-        for f in &failing {
-            eprintln!("SUSTAIN FAILED: {f} (floor {:.0}%)", floor * 100.0);
-        }
-        std::process::exit(1);
-    }
-}
-
-fn run_record(args: &Args) {
-    let cfg = &args.cfg;
-    println!(
-        "recording {} cell(s) at {} Hz: warmup {} ms, measure {} ms, {} client(s)",
-        cfg.cells.len(),
-        cfg.step_rate,
-        cfg.warmup_ms,
-        cfg.measure_ms,
-        cfg.clients
-    );
-    let baseline = record(cfg);
-    print_table("Server gate", &CELL_HEADER, &cell_table(&baseline));
-    if let Err(e) = std::fs::write(&args.path, baseline.to_json()) {
-        eprintln!("error: cannot write {}: {e}", args.path);
-        std::process::exit(1);
-    }
-    println!("\nwrote baseline to {}", args.path);
-    enforce_sustain(&baseline);
-}
-
-fn run_compare(args: &Args) {
-    let src = match std::fs::read_to_string(&args.path) {
-        Ok(s) => s,
-        Err(e) if args.allow_missing => {
-            eprintln!(
-                "warning: no server baseline at {} ({e}); measuring without a gate. \
-                 Record one with `server_bench record --out {}`.",
-                args.path, args.path
-            );
-            // Still measure and enforce the sustain floor: the service
-            // claim holds on its own, baseline or not.
-            let baseline = record(&args.cfg);
-            print_table("Server gate", &CELL_HEADER, &cell_table(&baseline));
-            enforce_sustain(&baseline);
-            return;
-        }
-        Err(e) => {
-            eprintln!("error: cannot read baseline {}: {e}", args.path);
-            std::process::exit(2);
-        }
-    };
-    let base = match ServerBaseline::from_json(&src) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {}: {e}", args.path);
-            std::process::exit(2);
-        }
-    };
-    let here = Fingerprint::current();
-    if here != base.fingerprint {
-        eprintln!(
-            "warning: baseline from {}/{} ({} hw thread(s)); this host is {}/{} ({}) — \
-             absolute numbers are not comparable across machines",
-            base.fingerprint.os,
-            base.fingerprint.arch,
-            base.fingerprint.hw_threads,
-            here.os,
-            here.arch,
-            here.hw_threads
+    if !args.compare {
+        println!(
+            "recording {} cell(s) at {} Hz: warmup {} ms, measure {} ms, {} client(s)",
+            cfg.cells.len(),
+            cfg.step_rate,
+            cfg.warmup_ms,
+            cfg.measure_ms,
+            cfg.clients
         );
+        let baseline = record_with_table(&cfg);
+        write_document(&baseline, &args.path);
+        enforce_sustain(&baseline);
+        return;
     }
-    // Measure the baseline's cells at the baseline's shape; sample
-    // windows and threshold are the comparer's choice.
-    let cfg = ServerGateConfig {
-        cells: base.config.cells.clone(),
-        step_rate: base.config.step_rate,
-        min_sustain: base.config.min_sustain,
-        ..args.cfg.clone()
-    };
-    let threshold = if args.threshold.is_some() || args.quick {
-        args.cfg.threshold
-    } else {
-        base.config.threshold
-    };
-    println!(
-        "comparing against {} ({} cell(s), threshold +{:.0}%)",
-        args.path,
-        base.cells.len(),
-        threshold * 100.0
-    );
-    let fresh = record(&cfg);
-    print_table("Fresh run", &CELL_HEADER, &cell_table(&fresh));
-    let rows = compare_server_baselines(&base, &fresh, threshold);
-    let table: Vec<Vec<String>> = rows
+    let fresh = run_compare(&args, cfg.threshold, |base: Envelope<ServerGateConfig>| {
+        // Measure the baseline's cells at the baseline's shape; sample
+        // windows and threshold are the comparer's choice.
+        let fresh = record_with_table(&ServerGateConfig {
+            cells: base.config.cells.clone(),
+            step_rate: base.config.step_rate,
+            min_sustain: base.config.min_sustain,
+            ..cfg.clone()
+        });
+        (base, fresh)
+    });
+    // Without a baseline, still measure and enforce the sustain floor:
+    // the service claim holds on its own, baseline or not.
+    enforce_sustain(&fresh.unwrap_or_else(|| record_with_table(&cfg)));
+}
+
+/// Records `cfg` and prints the per-cell table.
+fn record_with_table(cfg: &ServerGateConfig) -> Envelope<ServerGateConfig> {
+    let doc = record(cfg);
+    let rows: Vec<Vec<String>> = doc
+        .groups
         .iter()
-        .map(|r| {
+        .map(|c| {
+            let sessions = c.value("sessions");
             vec![
-                format!("{}x{}", r.sessions, r.bodies),
-                r.metric.to_string(),
-                format!("{:.3}", r.cmp.base_median / 1e6),
-                format!("{:.3}", r.cmp.cand_median / 1e6),
-                format!("{:+.0}%", r.cmp.rel_change * 100.0),
-                format!("[{:+.0}%, {:+.0}%]", r.cmp.ci.0 * 100.0, r.cmp.ci.1 * 100.0),
-                r.cmp.verdict.label().to_string(),
+                sessions.to_string(),
+                c.value("bodies").to_string(),
+                format!("{:.0}", steps_per_sec(c)),
+                format!("{:.0}", sessions * cfg.step_rate),
+                format!("{:.2}", c.value("sustain")),
+                format!("{:.2}", c.value("latency_p99_ns") / 1e6),
+                c.value("requests").to_string(),
             ]
         })
         .collect();
     print_table(
-        "Server gate verdicts",
+        "Server gate",
         &[
-            "Cell", "Metric", "Base ms", "Now ms", "Change", "95% CI", "Verdict",
+            "Sessions", "Bodies", "Steps/s", "Ideal", "Sustain", "p99 ms", "Requests",
         ],
-        &table,
+        &rows,
     );
-    let regressions: Vec<&CellComparison> = rows.iter().filter(|r| r.is_regression()).collect();
-    if regressions.is_empty() {
-        println!(
-            "\ngate passed: no cell slower than baseline beyond +{:.0}%",
-            threshold * 100.0
-        );
-        enforce_sustain(&fresh);
-        return;
-    }
-    for r in &regressions {
+    doc
+}
+
+/// Applies the sustain floor; exits 1 when any cell misses it.
+fn enforce_sustain(doc: &Envelope<ServerGateConfig>) {
+    let floor = doc.config.min_sustain;
+    let mut failed = false;
+    for c in doc.groups.iter().filter(|c| c.value("sustain") < floor) {
         eprintln!(
-            "REGRESSION: {}x{} {}: median {:.3} ms -> {:.3} ms ({:+.0}%)",
-            r.sessions,
-            r.bodies,
-            r.metric,
-            r.cmp.base_median / 1e6,
-            r.cmp.cand_median / 1e6,
-            r.cmp.rel_change * 100.0
+            "SUSTAIN FAILED: {} sustained only {:.0}% of {} Hz (floor {:.0}%)",
+            c.name,
+            c.value("sustain") * 100.0,
+            doc.config.step_rate,
+            floor * 100.0
         );
+        failed = true;
     }
-    eprintln!("\ngate FAILED: {} regression(s)", regressions.len());
-    std::process::exit(1);
+    if failed {
+        std::process::exit(1);
+    }
 }

@@ -8,6 +8,7 @@
 //! quick smoke runs (`PARALLAX_SCALE=0.1`).
 
 pub mod bisect;
+pub mod envelope;
 pub mod executor_scaling;
 pub mod harness;
 pub mod server_gate;

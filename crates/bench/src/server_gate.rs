@@ -12,11 +12,10 @@
 //! * **request latency** — per-request wall times of the closed-loop
 //!   clients, with the p99 reported.
 //!
-//! The baseline (`BENCH_server.json`) follows the `bench_gate`
-//! envelope conventions: schema version, experiment tag, machine
-//! fingerprint, config, raw samples. Comparison converts throughput to
-//! per-step periods (so "bigger = slower" holds for both metrics) and
-//! reuses the bootstrap statistics in `parallax_telemetry::stats`.
+//! The baseline (`BENCH_server.json`) is a [`crate::envelope`] document
+//! with one group per cell. Throughput is stored as per-step periods
+//! ([`STEP_PERIOD`]) so that both gated series are costs ("bigger =
+//! slower").
 //!
 //! Each cell runs against a fresh server on an ephemeral port. The
 //! sessions are generated settled-stack worlds: they are created with
@@ -25,22 +24,18 @@
 //! the target rate with `POST /sessions/:id/rate` — which is also the
 //! end-to-end exercise of the runtime rate knob.
 
-use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parallax_telemetry::json::Json;
-use parallax_telemetry::stats::{compare, BootstrapConfig, Comparison, Verdict};
+pub use parallax_telemetry::stats::percentile;
 
-use crate::harness::{Fingerprint, MIN_REGRESSION_NS};
+use crate::envelope::{field_arr, field_f64, field_u64, Config, Envelope, Group, STEP_PERIOD};
 
-/// Version of the `BENCH_server.json` layout.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// The `"experiment"` tag of server-gate baselines.
-pub const EXPERIMENT: &str = "server_gate";
+/// Series name of a cell's closed-loop request latencies.
+pub const REQUEST_LATENCY: &str = "request latency";
 
 /// Steps each session is manually stepped before measurement so its
 /// stacks reach their sleeping steady state (the slowest seeds settle
@@ -112,50 +107,56 @@ impl ServerGateConfig {
     }
 }
 
-/// Measured samples for one sweep cell.
-#[derive(Debug, Clone)]
-pub struct CellSamples {
-    /// Concurrent sessions.
-    pub sessions: usize,
-    /// Bodies per session.
-    pub bodies: usize,
-    /// Achieved fleet steps/s, one sample per subwindow.
-    pub steps_per_sec: Vec<f64>,
-    /// Whole-window achieved/ideal ratio.
-    pub sustain: f64,
-    /// Closed-loop request latencies, nanoseconds (thinned).
-    pub latency_ns: Vec<f64>,
-    /// p99 request latency over the *full* (unthinned) sample set.
-    pub latency_p99_ns: f64,
-    /// Requests completed during the window.
-    pub requests: usize,
-}
+impl Config for ServerGateConfig {
+    const EXPERIMENT: &'static str = "server_gate";
+    const RECORD: &'static str = "server_bench record";
 
-/// A recorded server baseline: envelope + per-cell samples.
-#[derive(Debug, Clone)]
-pub struct ServerBaseline {
-    /// Layout version ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
-    /// Machine the samples were taken on.
-    pub fingerprint: Fingerprint,
-    /// Recording configuration.
-    pub config: ServerGateConfig,
-    /// One entry per sweep cell.
-    pub cells: Vec<CellSamples>,
-}
+    fn to_json(&self) -> String {
+        let cells: Vec<String> = self
+            .cells
+            .iter()
+            .map(|(s, b)| format!("[{s}, {b}]"))
+            .collect();
+        format!(
+            "{{\"step_rate\": {}, \"warmup_ms\": {}, \"measure_ms\": {}, \"subwindows\": {}, \
+             \"clients\": {}, \"think_ms\": {}, \"threshold\": {}, \"min_sustain\": {}, \
+             \"cells\": [{}]}}",
+            self.step_rate,
+            self.warmup_ms,
+            self.measure_ms,
+            self.subwindows,
+            self.clients,
+            self.think_ms,
+            self.threshold,
+            self.min_sustain,
+            cells.join(", ")
+        )
+    }
 
-/// Percentile over a copy of `samples` (nearest-rank on the sorted set).
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+    fn from_json(c: &Json) -> Result<ServerGateConfig, String> {
+        let cell = |v: &Json| match v.as_arr() {
+            Some([s, b]) => Some((s.as_u64()? as usize, b.as_u64()? as usize)),
+            _ => None,
+        };
+        Ok(ServerGateConfig {
+            cells: field_arr(c, "cells")?
+                .iter()
+                .map(|v| cell(v).ok_or("config cell must be [sessions, bodies]"))
+                .collect::<Result<_, _>>()?,
+            step_rate: field_f64(c, "step_rate")?,
+            warmup_ms: field_u64(c, "warmup_ms")?,
+            measure_ms: field_u64(c, "measure_ms")?,
+            subwindows: field_u64(c, "subwindows")? as usize,
+            clients: field_u64(c, "clients")? as usize,
+            think_ms: field_u64(c, "think_ms")?,
+            threshold: field_f64(c, "threshold")?,
+            min_sustain: field_f64(c, "min_sustain")?,
+        })
     }
-    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    if sorted.is_empty() {
-        return 0.0;
+
+    fn threshold(&self) -> Option<f64> {
+        Some(self.threshold)
     }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn thin(samples: &[f64], keep: usize) -> Vec<f64> {
@@ -168,9 +169,11 @@ fn thin(samples: &[f64], keep: usize) -> Vec<f64> {
 }
 
 /// Records every cell in `cfg`, each against a fresh server on an
-/// ephemeral port, and returns the baseline. Prints one progress line
-/// per cell.
-pub fn record(cfg: &ServerGateConfig) -> ServerBaseline {
+/// ephemeral port. Each cell is one group named `"{sessions}x{bodies}"`
+/// with values `sessions`, `bodies`, `sustain` (whole-window
+/// achieved/ideal steps), `latency_p99_ns` (over every request, before
+/// thinning) and `requests`. Prints one progress line per cell.
+pub fn record(cfg: &ServerGateConfig) -> Envelope<ServerGateConfig> {
     let mut cells = Vec::with_capacity(cfg.cells.len());
     for &(sessions, bodies) in &cfg.cells {
         println!("cell {sessions} session(s) x {bodies} bodies: starting server...");
@@ -178,19 +181,27 @@ pub fn record(cfg: &ServerGateConfig) -> ServerBaseline {
         println!(
             "  achieved {:.0} steps/s of {:.0} ideal (sustain {:.2}), \
              p99 request latency {:.2} ms over {} request(s)",
-            parallax_telemetry::median(&cell.steps_per_sec).unwrap_or(0.0),
+            steps_per_sec(&cell),
             sessions as f64 * cfg.step_rate,
-            cell.sustain,
-            cell.latency_p99_ns / 1e6,
-            cell.requests
+            cell.value("sustain"),
+            cell.value("latency_p99_ns") / 1e6,
+            cell.value("requests")
         );
         cells.push(cell);
     }
-    ServerBaseline {
-        schema_version: SCHEMA_VERSION,
-        fingerprint: Fingerprint::current(),
-        config: cfg.clone(),
-        cells,
+    Envelope::new(cfg.clone(), cells)
+}
+
+/// A cell's median achieved fleet steps/s, from its step periods.
+pub fn steps_per_sec(cell: &Group) -> f64 {
+    let period = cell
+        .series(STEP_PERIOD)
+        .and_then(parallax_telemetry::median)
+        .unwrap_or(0.0);
+    if period > 0.0 {
+        1e9 / period
+    } else {
+        0.0
     }
 }
 
@@ -210,7 +221,7 @@ fn settle_sessions(addr: SocketAddr, ids: &[u64], threads: usize) {
     });
 }
 
-fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> CellSamples {
+fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> Group {
     let server = parallax_server::serve("127.0.0.1:0").expect("bind server");
     let addr = server.addr();
 
@@ -252,9 +263,10 @@ fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> CellSa
     // Closed-loop clients: hammer /state round-robin until told to stop.
     let stop = Arc::new(AtomicBool::new(false));
     let mut latencies: Vec<f64> = Vec::new();
-    let mut steps_per_sec = Vec::with_capacity(cfg.subwindows);
+    let mut periods = Vec::with_capacity(cfg.subwindows);
     let window = Duration::from_millis(cfg.measure_ms / cfg.subwindows.max(1) as u64);
-    let mut window_start = parallax_telemetry::snapshot().counter("server.steps");
+    let total_steps = || server.table().total_steps();
+    let mut window_start = total_steps();
     let measure_begin = window_start;
     std::thread::scope(|scope| {
         let mut workers = Vec::new();
@@ -283,9 +295,13 @@ fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> CellSa
         for _ in 0..cfg.subwindows {
             let begin = Instant::now();
             std::thread::sleep(window);
-            let now = parallax_telemetry::snapshot().counter("server.steps");
-            let secs = begin.elapsed().as_secs_f64();
-            steps_per_sec.push((now - window_start) as f64 / secs.max(1e-9));
+            let now = total_steps();
+            // A window with no steps has no period; the sustain ratio
+            // below still counts it.
+            if now > window_start {
+                let ns = begin.elapsed().as_nanos() as f64;
+                periods.push((ns / (now - window_start) as f64).round());
+            }
             window_start = now;
         }
         stop.store(true, Ordering::Relaxed);
@@ -295,313 +311,77 @@ fn record_cell(sessions: usize, bodies: usize, cfg: &ServerGateConfig) -> CellSa
     });
     let achieved = (window_start - measure_begin) as f64;
     let ideal = sessions as f64 * cfg.step_rate * (cfg.measure_ms as f64 / 1e3);
-    CellSamples {
-        sessions,
-        bodies,
-        steps_per_sec,
-        sustain: achieved / ideal.max(1e-9),
-        latency_p99_ns: percentile(&latencies, 99.0),
-        requests: latencies.len(),
-        latency_ns: thin(&latencies, MAX_STORED_LATENCIES),
-    }
-}
-
-impl ServerBaseline {
-    /// Serializes the baseline (hand-rolled JSON; the workspace's serde
-    /// is an API-only shim).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(s, "  \"experiment\": \"{EXPERIMENT}\",");
-        let _ = writeln!(s, "  \"fingerprint\": {},", self.fingerprint.to_json());
-        let _ = write!(
-            s,
-            "  \"config\": {{\"step_rate\": {}, \"warmup_ms\": {}, \"measure_ms\": {}, \
-             \"subwindows\": {}, \"clients\": {}, \"think_ms\": {}, \"threshold\": {}, \
-             \"min_sustain\": {}, \"cells\": [",
-            self.config.step_rate,
-            self.config.warmup_ms,
-            self.config.measure_ms,
-            self.config.subwindows,
-            self.config.clients,
-            self.config.think_ms,
-            self.config.threshold,
-            self.config.min_sustain
-        );
-        for (i, (sessions, bodies)) in self.config.cells.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "[{sessions}, {bodies}]");
-        }
-        s.push_str("]},\n  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"sessions\": {}, \"bodies\": {}, \"sustain\": {:.4}, \
-                 \"latency_p99_ns\": {}, \"requests\": {},\n     \"steps_per_sec\": [",
-                cell.sessions, cell.bodies, cell.sustain, cell.latency_p99_ns as u64, cell.requests
-            );
-            for (j, v) in cell.steps_per_sec.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{}", *v as u64);
-            }
-            s.push_str("],\n     \"latency_ns\": [");
-            for (j, v) in cell.latency_ns.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{}", *v as u64);
-            }
-            s.push_str("]}");
-            s.push_str(if i + 1 == self.cells.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Parses a baseline document, validating the envelope.
-    pub fn from_json(src: &str) -> Result<ServerBaseline, String> {
-        let v = Json::parse(src)?;
-        let schema_version = field_u64(&v, "schema_version")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "server baseline schema v{schema_version} but this build reads \
-                 v{SCHEMA_VERSION}; re-record with `server_bench record`"
-            ));
-        }
-        let experiment = field_str(&v, "experiment")?;
-        if experiment != EXPERIMENT {
-            return Err(format!(
-                "not a server-gate baseline (experiment {experiment:?})"
-            ));
-        }
-        let fingerprint =
-            Fingerprint::from_json(v.get("fingerprint").ok_or("missing fingerprint")?)?;
-        let c = v.get("config").ok_or("missing config")?;
-        let mut config = ServerGateConfig {
-            step_rate: field_f64(c, "step_rate")?,
-            warmup_ms: field_u64(c, "warmup_ms")?,
-            measure_ms: field_u64(c, "measure_ms")?,
-            subwindows: field_u64(c, "subwindows")? as usize,
-            clients: field_u64(c, "clients")? as usize,
-            think_ms: field_u64(c, "think_ms")?,
-            threshold: field_f64(c, "threshold")?,
-            min_sustain: field_f64(c, "min_sustain")?,
-            cells: Vec::new(),
-        };
-        for cell in c
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("missing cells")?
-        {
-            let pair = cell
-                .as_arr()
-                .ok_or("config cell must be [sessions, bodies]")?;
-            match pair {
-                [s, b] => config.cells.push((
-                    s.as_u64().ok_or("non-integer sessions")? as usize,
-                    b.as_u64().ok_or("non-integer bodies")? as usize,
-                )),
-                _ => return Err("config cell must be [sessions, bodies]".to_string()),
-            }
-        }
-        let mut cells = Vec::new();
-        for cell in v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("missing cells array")?
-        {
-            cells.push(CellSamples {
-                sessions: field_u64(cell, "sessions")? as usize,
-                bodies: field_u64(cell, "bodies")? as usize,
-                sustain: field_f64(cell, "sustain")?,
-                latency_p99_ns: field_f64(cell, "latency_p99_ns")?,
-                requests: field_u64(cell, "requests")? as usize,
-                steps_per_sec: cell
-                    .get("steps_per_sec")
-                    .and_then(Json::as_arr)
-                    .ok_or("cell missing steps_per_sec")?
-                    .iter()
-                    .filter_map(Json::as_f64)
-                    .collect(),
-                latency_ns: cell
-                    .get("latency_ns")
-                    .and_then(Json::as_arr)
-                    .ok_or("cell missing latency_ns")?
-                    .iter()
-                    .filter_map(Json::as_f64)
-                    .collect(),
-            });
-        }
-        Ok(ServerBaseline {
-            schema_version,
-            fingerprint,
-            config,
-            cells,
-        })
-    }
-}
-
-/// One cell×metric comparison row.
-#[derive(Debug, Clone)]
-pub struct CellComparison {
-    /// Concurrent sessions of the cell.
-    pub sessions: usize,
-    /// Bodies per session of the cell.
-    pub bodies: usize,
-    /// `"step period"` or `"request latency"`.
-    pub metric: &'static str,
-    /// The statistical comparison.
-    pub cmp: Comparison,
-}
-
-impl CellComparison {
-    /// `true` when this row is a regression at the gate's threshold.
-    pub fn is_regression(&self) -> bool {
-        self.cmp.verdict == Verdict::Slower
-    }
-}
-
-/// Per-step periods (ns) from throughput samples, so that both gate
-/// metrics are costs ("bigger = slower").
-fn periods_ns(steps_per_sec: &[f64]) -> Vec<f64> {
-    steps_per_sec
-        .iter()
-        .filter(|s| **s > 0.0)
-        .map(|s| 1e9 / s)
-        .collect()
-}
-
-/// Compares a fresh recording against a baseline, cell by cell. Cells
-/// present on only one side are skipped. Latency slowdowns under
-/// [`MIN_REGRESSION_NS`] absolute are downgraded, like the scene gate.
-pub fn compare_server_baselines(
-    base: &ServerBaseline,
-    fresh: &ServerBaseline,
-    threshold: f64,
-) -> Vec<CellComparison> {
-    let cfg = BootstrapConfig::default();
-    let mut rows = Vec::new();
-    for b in &base.cells {
-        let Some(f) = fresh
-            .cells
-            .iter()
-            .find(|c| c.sessions == b.sessions && c.bodies == b.bodies)
-        else {
-            continue;
-        };
-        let pairs: [(&'static str, Vec<f64>, Vec<f64>); 2] = [
+    let values = [
+        ("sessions", sessions as f64),
+        ("bodies", bodies as f64),
+        ("sustain", achieved / ideal.max(1e-9)),
+        ("latency_p99_ns", percentile(&latencies, 99.0)),
+        ("requests", latencies.len() as f64),
+    ];
+    Group {
+        name: format!("{sessions}x{bodies}"),
+        values: values.map(|(k, v)| (k.to_string(), v)).to_vec(),
+        series: vec![
+            (STEP_PERIOD.to_string(), periods),
             (
-                "step period",
-                periods_ns(&b.steps_per_sec),
-                periods_ns(&f.steps_per_sec),
+                REQUEST_LATENCY.to_string(),
+                thin(&latencies, MAX_STORED_LATENCIES),
             ),
-            (
-                "request latency",
-                b.latency_ns.clone(),
-                f.latency_ns.clone(),
-            ),
-        ];
-        for (metric, base_samples, fresh_samples) in pairs {
-            let Some(mut cmp) = compare(&base_samples, &fresh_samples, threshold, &cfg) else {
-                continue;
-            };
-            if cmp.verdict == Verdict::Slower
-                && metric == "request latency"
-                && cmp.cand_median - cmp.base_median < MIN_REGRESSION_NS
-            {
-                cmp.verdict = Verdict::Indistinguishable;
-            }
-            rows.push(CellComparison {
-                sessions: b.sessions,
-                bodies: b.bodies,
-                metric,
-                cmp,
-            });
-        }
+        ],
     }
-    rows
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn field_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{compare_series, SCHEMA_VERSION};
 
-    fn fake_baseline() -> ServerBaseline {
-        ServerBaseline {
-            schema_version: SCHEMA_VERSION,
-            fingerprint: Fingerprint::current(),
-            config: ServerGateConfig {
-                cells: vec![(10, 20)],
-                ..ServerGateConfig::default()
-            },
-            cells: vec![CellSamples {
-                sessions: 10,
-                bodies: 20,
-                steps_per_sec: vec![600.0, 590.0, 610.0, 605.0],
-                sustain: 0.99,
-                latency_ns: vec![100_000.0, 120_000.0, 110_000.0, 105_000.0],
-                latency_p99_ns: 120_000.0,
-                requests: 4,
-            }],
-        }
+    fn fake_baseline() -> Envelope<ServerGateConfig> {
+        let config = ServerGateConfig {
+            cells: vec![(10, 20)],
+            ..ServerGateConfig::default()
+        };
+        let cell = Group {
+            name: "10x20".to_string(),
+            values: vec![("sustain".to_string(), 0.99), ("requests".to_string(), 4.0)],
+            series: vec![
+                (
+                    STEP_PERIOD.to_string(),
+                    vec![1_666_667.0, 1_694_915.0, 1_639_344.0, 1_652_893.0],
+                ),
+                (
+                    REQUEST_LATENCY.to_string(),
+                    vec![100_000.0, 120_000.0, 110_000.0, 105_000.0],
+                ),
+            ],
+        };
+        Envelope::new(config, vec![cell])
     }
 
     #[test]
     fn baseline_json_round_trips() {
         let b = fake_baseline();
-        let parsed = ServerBaseline::from_json(&b.to_json()).expect("parse");
-        assert_eq!(parsed.schema_version, b.schema_version);
+        let parsed = Envelope::<ServerGateConfig>::from_json(&b.to_json()).expect("parse");
         assert_eq!(parsed.fingerprint, b.fingerprint);
+        assert_eq!(parsed.config.to_json(), b.config.to_json());
         assert_eq!(parsed.config.cells, b.config.cells);
-        assert_eq!(parsed.cells.len(), 1);
-        assert_eq!(parsed.cells[0].sessions, 10);
-        assert_eq!(parsed.cells[0].steps_per_sec.len(), 4);
-        assert_eq!(parsed.cells[0].latency_ns.len(), 4);
-        assert_eq!(parsed.cells[0].requests, 4);
+        assert_eq!(parsed.groups, b.groups);
+        assert_eq!(parsed.groups[0].value("requests"), 4.0);
     }
 
     #[test]
     fn from_json_rejects_other_experiments() {
+        let parse = Envelope::<ServerGateConfig>::from_json;
         let wrong =
             format!("{{\"schema_version\": {SCHEMA_VERSION}, \"experiment\": \"scene_gate\"}}");
-        assert!(ServerBaseline::from_json(&wrong)
-            .unwrap_err()
-            .contains("scene_gate"));
-        assert!(ServerBaseline::from_json("{\"schema_version\": 99}").is_err());
+        assert!(parse(&wrong).unwrap_err().contains("scene_gate"));
+        assert!(parse("{\"schema_version\": 99}").is_err());
     }
 
     #[test]
     fn identical_baselines_have_no_regressions() {
         let b = fake_baseline();
-        let rows = compare_server_baselines(&b, &b, 0.5);
+        let rows = compare_series(&b.groups, &b.groups, 0.5);
         assert_eq!(rows.len(), 2, "{rows:?}");
         assert!(rows.iter().all(|r| !r.is_regression()), "{rows:?}");
     }
@@ -637,14 +417,14 @@ mod tests {
             ..ServerGateConfig::default()
         };
         let b = record(&cfg);
-        assert_eq!(b.cells.len(), 1);
-        let cell = &b.cells[0];
-        assert_eq!(cell.steps_per_sec.len(), 2);
-        assert!(cell.requests > 0, "clients made no requests");
+        assert_eq!(b.groups.len(), 1);
+        let cell = &b.groups[0];
+        assert_eq!(cell.series(STEP_PERIOD).map(<[f64]>::len), Some(2));
+        assert!(cell.value("requests") > 0.0, "clients made no requests");
         assert!(
-            cell.sustain > 0.2,
+            cell.value("sustain") > 0.2,
             "no scheduled stepping happened: {cell:?}"
         );
-        ServerBaseline::from_json(&b.to_json()).expect("round trip");
+        Envelope::<ServerGateConfig>::from_json(&b.to_json()).expect("round trip");
     }
 }

@@ -529,9 +529,12 @@ impl SessionTable {
         self.len() == 0
     }
 
-    /// Total steps taken across all sessions so far.
+    /// Total steps taken so far by this table's live sessions: the sum
+    /// of each session's own step counter, independent of the
+    /// process-wide `server.steps` metric and of any other table.
     pub fn total_steps(&self) -> u64 {
-        telemetry::snapshot().counter("server.steps")
+        let arcs: Vec<Arc<Mutex<Session>>> = self.map().values().cloned().collect();
+        arcs.iter().map(|arc| Self::lock_session(arc).steps()).sum()
     }
 
     /// Summaries of every session, id-ordered.
@@ -625,6 +628,19 @@ mod tests {
         assert!(!table.destroy(info.id));
         assert_eq!(table.step(info.id, 1), None);
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn total_steps_counts_only_this_tables_sessions() {
+        let (a, b) = (SessionTable::default(), SessionTable::default());
+        let ia = a.create(manual(10, 1)).expect("create a");
+        let ib = b.create(manual(10, 2)).expect("create b");
+        b.step(ib.id, 2);
+        let before = b.total_steps();
+        a.step(ia.id, 5);
+        assert_eq!(a.total_steps(), 5);
+        assert_eq!(b.total_steps(), before);
+        assert_eq!(before, 2);
     }
 
     #[test]

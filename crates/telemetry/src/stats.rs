@@ -7,6 +7,7 @@
 //!
 //! * [`trim_warmup`] — drop the warm-up prefix of a sample series,
 //! * [`median`] / [`mad`] / [`summarize`] — robust location and spread,
+//! * [`percentile`] — nearest-rank tail quantiles for latency reports,
 //! * [`bootstrap_median_ci`] — a percentile-bootstrap confidence
 //!   interval for the median, driven by a deterministic [`SplitMix64`]
 //!   generator so the same inputs always yield the same interval,
@@ -71,6 +72,19 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     } else {
         0.5 * (xs[n / 2 - 1] + xs[n / 2])
     })
+}
+
+/// Nearest-rank percentile (`p` in 0–100) of the finite samples: the
+/// sorted sample at rank `round(p / 100 · (n − 1))`; 0 when there is
+/// none.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted.sort_by(f64::total_cmp);
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Median absolute deviation around the median (`None` when empty).

@@ -3,7 +3,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --offline
+# --locked: a dependency edit that would rewrite Cargo.lock (or
+# perfbench/Cargo.lock below) fails here instead of silently editing it.
+cargo build --release --offline --locked
 cargo test -q --offline
 cargo fmt --check
 cargo clippy --workspace --offline --all-targets -- -D warnings
@@ -164,6 +166,6 @@ cargo run --release --offline -q -p parallax-bench --bin server_bench -- \
 # workload at a tiny size, untraced and traced, with its correctness and
 # digest checks — so an engine change that breaks the benchmark's build
 # or its checks fails here rather than when the benchmark is next run.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "tier-1 verify: OK"

@@ -9,7 +9,8 @@
 
 use std::time::Duration;
 
-use parallax_bench::harness::{compare_baselines, record, Baseline, GateConfig};
+use parallax_bench::envelope::{compare_series, Envelope};
+use parallax_bench::harness::{record, GateConfig};
 use parallax_math::SimdMode;
 use parallax_physics::{set_injected_phase_delay, InvariantMonitor, PhaseKind};
 use parallax_workloads::{BenchmarkId, SceneParams};
@@ -41,11 +42,11 @@ fn gate_passes_identical_build_and_fails_slowed_build() {
     let base = record(&cfg);
 
     // Through the on-disk form, as `bench_gate compare` reads it.
-    let parsed = Baseline::from_json(&base.to_json()).expect("baseline round-trips");
+    let parsed = Envelope::<GateConfig>::from_json(&base.to_json()).expect("baseline round-trips");
 
     // Identical build: a fresh recording of the same binary must pass.
     let fresh = record(&cfg);
-    let rows = compare_baselines(&parsed, &fresh, cfg.threshold);
+    let rows = compare_series(&parsed.groups, &fresh.groups, cfg.threshold);
     // Five pipeline phases plus the per-scene "step total" row.
     assert_eq!(
         rows.len(),
@@ -67,13 +68,13 @@ fn gate_passes_identical_build_and_fails_slowed_build() {
     let slowed = record(&cfg);
     set_injected_phase_delay(PhaseKind::Broadphase, Duration::ZERO);
 
-    let rows = compare_baselines(&parsed, &slowed, cfg.threshold);
+    let rows = compare_series(&parsed.groups, &slowed.groups, cfg.threshold);
     let regressions: Vec<_> = rows.iter().filter(|r| r.is_regression()).collect();
     assert!(!regressions.is_empty(), "slowed build passed the gate");
     for id in &cfg.scenes {
         let broad = regressions
             .iter()
-            .find(|r| r.scene == id.name() && r.phase == "Broadphase");
+            .find(|r| r.group == id.name() && r.metric == "Broadphase");
         assert!(
             broad.is_some(),
             "Broadphase regression of {} not flagged: {regressions:?}",
@@ -84,10 +85,10 @@ fn gate_passes_identical_build_and_fails_slowed_build() {
         // scene's biggest relative change.
         let max = rows
             .iter()
-            .filter(|r| r.scene == id.name())
+            .filter(|r| r.group == id.name())
             .max_by(|a, b| a.cmp.rel_change.total_cmp(&b.cmp.rel_change))
             .expect("rows");
-        assert_eq!(max.phase, "Broadphase", "{max:?}");
+        assert_eq!(max.metric, "Broadphase", "{max:?}");
     }
 }
 
